@@ -28,7 +28,6 @@ func TestCLIRoundTrip(t *testing.T) {
 	}
 	mgtune := build("mgtune")
 	mgsolve := build("mgsolve")
-	mgserve := build("mgserve")
 
 	cfg := filepath.Join(dir, "tuned.json")
 	out, err := exec.Command(mgtune,
@@ -60,20 +59,6 @@ func TestCLIRoundTrip(t *testing.T) {
 	// Oversized request must fail cleanly.
 	if out, err := exec.Command(mgsolve, "-config", cfg, "-size", "65", "-workers", "1").CombinedOutput(); err == nil {
 		t.Fatalf("mgsolve accepted a grid beyond the tuned size:\n%s", out)
-	}
-
-	// Serve the same tuned configuration to concurrent clients.
-	out, err = exec.Command(mgserve,
-		"-config", cfg, "-size", "33", "-acc", "1e5", "-workers", "1",
-		"-clients", "4", "-requests", "40").CombinedOutput()
-	if err != nil {
-		t.Fatalf("mgserve: %v\n%s", err, out)
-	}
-	text = string(out)
-	for _, want := range []string{"solves/sec", "latency p50", "spot-check accuracy", "family poisson"} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("mgserve output missing %q:\n%s", want, text)
-		}
 	}
 
 	// --- operator families: tune an anisotropic configuration and solve it.
@@ -129,36 +114,6 @@ func TestCLIRoundTrip(t *testing.T) {
 		}
 	}
 
-	// --- multi-family registry: serve every tuned configuration written
-	// above (poisson, aniso:0.25, poisson3d) from ONE process, mixed
-	// traffic, per-family metrics.
-	out, err = exec.Command(mgserve,
-		"-configdir", dir, "-size", "17", "-size3d", "17", "-workers", "1",
-		"-clients", "3", "-requests", "30", "-acc", "1e3").CombinedOutput()
-	if err != nil {
-		t.Fatalf("mgserve -configdir: %v\n%s", err, out)
-	}
-	text = string(out)
-	for _, want := range []string{
-		"registry serving 3 families", "aniso:0.25", "poisson3d",
-		"unroutable=0", "spot-check poisson3d",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("mgserve registry output missing %q:\n%s", want, text)
-		}
-	}
-
-	// In-process multi-family tuning: -families without -configdir.
-	out, err = exec.Command(mgserve,
-		"-families", "poisson,poisson3d", "-size", "17", "-size3d", "9",
-		"-workers", "1", "-clients", "2", "-requests", "8", "-acc", "1e3").CombinedOutput()
-	if err != nil {
-		t.Fatalf("mgserve -families: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "registry serving 2 families") {
-		t.Fatalf("mgserve -families output:\n%s", out)
-	}
-
 	// Bad-input error paths: each must exit non-zero with a telling message.
 	for _, tc := range []struct {
 		name    string
@@ -183,15 +138,6 @@ func TestCLIRoundTrip(t *testing.T) {
 		{"negative epsilon at tune time",
 			exec.Command(mgtune, "-size", "17", "-family", "aniso", "-epsilon", "-1", "-machine", "intel-harpertown", "-q"),
 			"epsilon must be positive"},
-		{"registry family miss",
-			exec.Command(mgserve, "-configdir", dir, "-families", "varcoef", "-requests", "4", "-workers", "1"),
-			"does not serve family"},
-		{"registry eps mismatch",
-			exec.Command(mgserve, "-configdir", dir, "-families", "aniso:0.5", "-requests", "4", "-workers", "1"),
-			"serves family aniso at eps 0.25"},
-		{"config combined with configdir",
-			exec.Command(mgserve, "-config", anisoCfg, "-configdir", dir, "-requests", "4"),
-			"cannot be combined"},
 	} {
 		out, err := tc.cmd.CombinedOutput()
 		if err == nil {

@@ -19,11 +19,12 @@ import (
 	"runtime"
 
 	"pbmg/internal/experiments"
+	"pbmg/internal/grid"
 )
 
 func main() {
 	exp := flag.String("exp", "all",
-		"experiment: complexity, fig6, fig7 (includes fig8), fig9, fig10, fig11, fig12, fig13, fig14, fig4, fig5, crosstrain, ablation-smoother, ablation-ladder, ablation-pareto, baseline, serve, kernels, http, or all")
+		"experiment: complexity, fig6, fig7 (includes fig8), fig9, fig10, fig11, fig12, fig13, fig14, fig4, fig5, fig5b (fig5 on biased inputs), crosstrain, ablation-smoother, ablation-ladder, ablation-pareto, baseline, serve, kernels, http, or all")
 	level := flag.Int("level", 8, "finest multigrid level (grid side 2^k+1)")
 	workers := flag.Int("workers", runtime.NumCPU(), "worker threads for wall-clock experiments")
 	seed := flag.Int64("seed", 20090101, "training/test seed")
@@ -159,7 +160,9 @@ func run(r *experiments.Runner, exp string) error {
 	case "fig4":
 		return printText(r.Fig4())
 	case "fig5":
-		return printText(r.Fig5(0)) // unbiased
+		return printText(r.Fig5(grid.Unbiased))
+	case "fig5b":
+		return printText(r.Fig5(grid.Biased))
 	case "crosstrain":
 		return printTable(r.CrossTrain())
 	case "ablation-smoother":
@@ -168,13 +171,11 @@ func run(r *experiments.Runner, exp string) error {
 		return printTable(r.LadderAblation())
 	case "ablation-pareto":
 		return printTable(r.ParetoAblation())
-	case "cluster":
-		return printTable(r.ClusterLayout())
 	case "all":
 		for _, e := range []string{
 			"complexity", "fig4", "fig5", "fig6", "fig7", "fig9",
 			"fig10", "fig11", "fig12", "fig13", "fig14", "crosstrain",
-			"ablation-smoother", "ablation-ladder", "ablation-pareto", "cluster",
+			"ablation-smoother", "ablation-ladder", "ablation-pareto",
 		} {
 			if err := run(r, e); err != nil {
 				return fmt.Errorf("%s: %w", e, err)

@@ -106,8 +106,8 @@ func runServe(familiesSpec string, level, workers int, seed int64, writeJSON boo
 
 	// Mixed workload: clients issue requests round-robin across the families
 	// from a pre-drawn per-family problem rotation, all through the shared
-	// admission limit (the same internal/mixload driver mgserve's registry
-	// mode uses, so the benchmark measures the served workload shape).
+	// admission limit (the same internal/mixload driver the HTTP benchmark
+	// uses, so both measure the same workload shape).
 	res, err := mixload.Run(mixload.Options{
 		Services: services,
 		ReqN:     reqN,

@@ -45,6 +45,12 @@ import (
 	"pbmg/serve"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers. Without it a client that opens connections and never
+// finishes a request holds a goroutine and a file descriptor for each one
+// until drain.
+const readHeaderTimeout = 5 * time.Second
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	configdir := flag.String("configdir", "", "directory of tuned-table JSON files (one per family, from mgtune)")
@@ -106,7 +112,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)

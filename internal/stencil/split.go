@@ -24,6 +24,13 @@
 // cache scale — SplitWorthwhile gates it, and the arch cost model prices
 // EvIterSolve with the same gate so tuned tables see the path the runtime
 // actually takes.
+//
+// Few tuned plans reach the gate. The only tuned cell known to run this
+// path is aniso ε=0.01 at N=257, accuracy 10 and 1e3: the level-8 plan runs
+// 54 and 242 f32 sweeps through it (harpertown model, seed 1), and there
+// serial split sweeps beat the strided loop by about 1.1–1.2×. The 12-sweep
+// f64 sorx12 row of BENCH_kernels.json understates that case, so judge this
+// path on long f32 sweep runs, not on that row.
 package stencil
 
 import (

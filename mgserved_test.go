@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -23,52 +25,21 @@ func TestMGServedLifecycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "mgserved")
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/mgserved")
-	cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build mgserved: %v\n%s", err, out)
-	}
-
 	// A tuned-table directory for -configdir, so SIGHUP has real files to
 	// re-read.
-	tables := filepath.Join(dir, "tables")
-	if err := os.Mkdir(tables, 0o755); err != nil {
-		t.Fatal(err)
-	}
+	tables := t.TempDir()
 	if err := tuneFamily(t, FamilyPoisson, 0).Save(filepath.Join(tables, "poisson.json")); err != nil {
 		t.Fatal(err)
 	}
 
-	srv := exec.Command(bin,
+	srv, addr, scanner := startMGServed(t,
 		"-addr", "127.0.0.1:0", "-configdir", tables, "-workers", "1",
 		"-quota", "poisson=2", "-drain-timeout", "30s")
-	stderr, err := srv.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Process.Kill()
 
-	// The daemon logs its resolved address; everything it prints after
-	// that is collected for the final assertions.
-	var addr string
+	// Everything the daemon prints after its address is collected for the
+	// final assertions.
 	var logTail strings.Builder
 	logLines := make(chan struct{})
-	scanner := bufio.NewScanner(stderr)
-	for scanner.Scan() {
-		line := scanner.Text()
-		if _, a, ok := strings.Cut(line, "listening on "); ok {
-			addr = a
-			break
-		}
-	}
-	if addr == "" {
-		t.Fatal("mgserved never reported its listen address")
-	}
 	go func() {
 		defer close(logLines)
 		for scanner.Scan() {
@@ -169,4 +140,65 @@ func TestMGServedLifecycle(t *testing.T) {
 	if !strings.Contains(logTail.String(), "drained cleanly") {
 		t.Fatalf("drain not logged:\n%s", logTail.String())
 	}
+}
+
+// TestMGServedHeaderTimeout: a client that sends part of a request line
+// and then stalls must not hold its connection open; the daemon closes it
+// once the header read timeout passes.
+func TestMGServedHeaderTimeout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	_, addr, _ := startMGServed(t,
+		"-addr", "127.0.0.1:0", "-families", "poisson", "-size", "17", "-workers", "1")
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HT")); err != nil {
+		t.Fatal(err)
+	}
+	// Well past the daemon's timeout: a read that runs into this deadline
+	// means the daemon kept the stalled connection open.
+	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled connection not closed by the daemon: %v", err)
+	}
+}
+
+// startMGServed builds the daemon, starts it with args, and waits for the
+// log line naming its listen address. The returned scanner continues with
+// the daemon's stderr after that line; the process is killed at cleanup.
+func startMGServed(t *testing.T, args ...string) (*exec.Cmd, string, *bufio.Scanner) {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "mgserved")
+	cmd := exec.Command("go", "build", "-o", bin, "./cmd/mgserved")
+	cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("build mgserved: %v\n%s", err, out)
+	}
+
+	srv := exec.Command(bin, args...)
+	stderr, err := srv.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		srv.Process.Kill()
+		srv.Wait()
+	})
+
+	scanner := bufio.NewScanner(stderr)
+	for scanner.Scan() {
+		if _, addr, ok := strings.Cut(scanner.Text(), "listening on "); ok {
+			return srv, addr, scanner
+		}
+	}
+	t.Fatal("mgserved never reported its listen address")
+	return nil, "", nil
 }

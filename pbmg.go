@@ -102,7 +102,8 @@ func FamilyHasParam(f Family) bool { return core.FamilyHasParam(f) }
 // silently solve the wrong operator. Empty family and zero epsilon mean
 // "use the configuration's values" and always pass; epsilon is only checked
 // for parameterized families. The error names the configuration path and
-// how to re-tune. Shared by mgsolve and mgserve so the checks cannot drift.
+// how to re-tune. Registry.Lookup resolves eps the same way for served
+// requests.
 func (s *Solver) CheckFamilyFlags(config, family string, epsilon float64) error {
 	if family != "" {
 		f, err := ParseFamily(family)

@@ -150,12 +150,16 @@ func TestRegistryRoutingAndMismatch(t *testing.T) {
 		t.Fatal("Lookup(aniso, default) matched a 0.25-tuned table")
 	} else if !strings.Contains(err.Error(), "0.25") {
 		t.Fatalf("eps-mismatch error does not name the served eps: %v", err)
+	} else if want := "serves family aniso at eps 0.25, not 0.1"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("eps-mismatch error = %v, want it to contain %q", err, want)
 	}
 	// A family that is not served at all lists the catalog.
 	if err := r.Solve(FamilyVarCoef, 0, NewGrid(17), NewGrid(17), 1e3); err == nil {
 		t.Fatal("Solve(varcoef) routed despite no varcoef table")
 	} else if !strings.Contains(err.Error(), "poisson") || !strings.Contains(err.Error(), "aniso:0.25") {
 		t.Fatalf("catalog error incomplete: %v", err)
+	} else if want := "does not serve family varcoef:2 (serving: aniso:0.25, poisson)"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("catalog error = %v, want it to contain %q", err, want)
 	}
 	if got := r.Metrics().Unroutable; got != 2 {
 		t.Fatalf("Unroutable = %d, want 2", got)
