@@ -3,18 +3,18 @@ package pbmg
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
+
+	"pbmg/internal/admit"
 )
 
 // This file is the failure-containment half of the serving front end: typed
-// errors for solves that panicked inside the kernels, and a per-family
-// circuit breaker that stops feeding requests to a solver whose
-// infrastructure is failing (consecutive diverged or panicked solves) until
-// a half-open probe proves it healthy again. Client-caused failures —
-// cancelled contexts, out-of-range sizes or accuracies — never open the
-// breaker: they say nothing about the solver.
+// errors for solves that panicked inside the kernels, and the per-family
+// circuit breaker (kept by each family's admission gate, internal/admit)
+// that stops feeding requests to a solver whose infrastructure is failing
+// (consecutive diverged or panicked solves) until a half-open probe proves
+// it healthy again. Client-caused failures — cancelled contexts,
+// out-of-range sizes or accuracies — never open the breaker: they say
+// nothing about the solver.
 
 // ErrPanicked marks a solve that panicked inside the solver and was
 // recovered at the Service boundary. Match with errors.Is; the concrete
@@ -26,7 +26,16 @@ var ErrPanicked = errors.New("pbmg: solve panicked")
 // concrete *BreakerOpenError carries the suggested retry delay. Breaker
 // sheds also match ErrShed, so generic shed handling (HTTP 429/503 mapping,
 // load-generator retry accounting) keeps working unchanged.
-var ErrBreakerOpen = errors.New("pbmg: circuit breaker open")
+var ErrBreakerOpen = admit.ErrBreakerOpen
+
+// BreakerOpenError is the error an open circuit breaker sheds with; its
+// RetryAfter is how long until the breaker admits a probe.
+type BreakerOpenError = admit.BreakerOpenError
+
+// BreakerConfig tunes a service's circuit breaker: Threshold consecutive
+// infrastructure failures open it (≤ 0: 5), and it sheds for Cooldown (≤ 0:
+// 5 s) before admitting one half-open probe.
+type BreakerConfig = admit.BreakerConfig
 
 // PanicError is the error a recovered solve panic becomes. The daemon
 // survives — the panic is converted at the Service boundary, after the
@@ -46,166 +55,21 @@ func (e *PanicError) Error() string { return fmt.Sprintf("pbmg: solve panicked: 
 // the caller needing the concrete type.
 func (e *PanicError) Is(target error) bool { return target == ErrPanicked }
 
-// BreakerOpenError is the error an open circuit breaker sheds with.
-type BreakerOpenError struct {
-	// RetryAfter is how long until the breaker will admit a probe — the
-	// value the serve layer puts in the Retry-After header.
-	RetryAfter time.Duration
-}
-
-func (e *BreakerOpenError) Error() string {
-	return fmt.Sprintf("pbmg: circuit breaker open, retry in %v", e.RetryAfter)
-}
-
-// Is reports ErrBreakerOpen.
-func (e *BreakerOpenError) Is(target error) bool { return target == ErrBreakerOpen }
-
-// Breaker defaults: open after 5 consecutive infrastructure failures, probe
-// again after 5 seconds.
-const (
-	DefaultBreakerThreshold = 5
-	DefaultBreakerCooldown  = 5 * time.Second
-)
-
-// BreakerConfig tunes a service's circuit breaker. The zero value selects
-// the defaults.
-type BreakerConfig struct {
-	// Threshold is the consecutive infrastructure-failure count that opens
-	// the breaker (≤ 0: DefaultBreakerThreshold).
-	Threshold int
-	// Cooldown is how long an open breaker sheds before admitting a single
-	// half-open probe (≤ 0: DefaultBreakerCooldown).
-	Cooldown time.Duration
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Threshold <= 0 {
-		c.Threshold = DefaultBreakerThreshold
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = DefaultBreakerCooldown
-	}
-	return c
-}
-
-// breakerOutcome classifies a finished solve for the breaker's accounting.
-type breakerOutcome int
-
-const (
-	// breakerOK: the solve succeeded, or failed for a client-side reason
-	// (bad size, unreachable accuracy) that says nothing about the solver.
-	breakerOK breakerOutcome = iota
-	// breakerInfraFailure: the solver itself failed — diverged or panicked.
-	breakerInfraFailure
-	// breakerNeutral: the solve never ran or was cancelled by the client;
-	// no evidence either way.
-	breakerNeutral
-)
-
-const (
-	breakerClosed = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
-// breaker is a consecutive-failure circuit breaker: closed (normal
-// admission, counting consecutive infrastructure failures), open (shedding
-// until the cooldown elapses), half-open (exactly one probe in flight;
-// success closes, failure re-opens). All transitions happen under mu in
-// allow/record; opens and shed are separate atomics so Metrics can read
-// them without the lock.
-type breaker struct {
-	cfg BreakerConfig
-
-	mu          sync.Mutex
-	state       int
-	consecutive int
-	openedAt    time.Time
-	probing     bool
-
-	opens atomic.Int64
-	shed  atomic.Int64
-}
-
-func newBreaker(cfg BreakerConfig) *breaker {
-	return &breaker{cfg: cfg.withDefaults()}
-}
-
-// allow decides whether a request may proceed. probe is true when this
-// request is the half-open probe (its outcome decides the breaker's fate);
-// a non-nil err is the shed to return, wrapping ErrBreakerOpen.
-func (b *breaker) allow() (probe bool, err error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return false, nil
-	case breakerOpen:
-		wait := b.cfg.Cooldown - time.Since(b.openedAt)
-		if wait > 0 {
-			b.shed.Add(1)
-			return false, &BreakerOpenError{RetryAfter: wait}
-		}
-		// Cooldown elapsed: this request becomes the half-open probe.
-		b.state = breakerHalfOpen
-		b.probing = true
-		return true, nil
-	default: // breakerHalfOpen
-		if b.probing {
-			// One probe at a time; everyone else keeps shedding until it
-			// reports back.
-			b.shed.Add(1)
-			return false, &BreakerOpenError{RetryAfter: b.cfg.Cooldown}
-		}
-		b.probing = true
-		return true, nil
-	}
-}
-
-// record feeds a finished request's outcome back. probe is the value allow
-// returned for it.
-func (b *breaker) record(probe bool, outcome breakerOutcome) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if probe {
-		b.probing = false
-	}
-	switch outcome {
-	case breakerOK:
-		b.consecutive = 0
-		if b.state == breakerHalfOpen && probe {
-			b.state = breakerClosed
-		}
-	case breakerInfraFailure:
-		b.consecutive++
-		if b.state == breakerHalfOpen || (b.state == breakerClosed && b.consecutive >= b.cfg.Threshold) {
-			b.state = breakerOpen
-			b.openedAt = time.Now()
-			b.opens.Add(1)
-		}
-	case breakerNeutral:
-		// Cancelled or never ran: no evidence. A half-open probe that was
-		// cancelled releases the probe slot (above) so the next request
-		// probes instead.
-	}
-}
-
-// stateName reports the state for metrics and readiness: "closed", "open",
-// or "half-open". An open breaker whose cooldown has elapsed reports
-// half-open — the next request will probe — so readiness stops flapping on
-// an idle family that merely has nobody retrying yet.
-func (b *breaker) stateName() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerOpen:
-		if time.Since(b.openedAt) >= b.cfg.Cooldown {
-			return "half-open"
-		}
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
+// outcomeOf classifies a finished solve for its gate's counters and
+// breaker: only infrastructure failures (divergence, panics) count toward
+// opening the breaker; cancellations are neutral, and client errors (bad
+// size, unreachable accuracy) plus successes count as healthy.
+func outcomeOf(err error) admit.Outcome {
+	switch {
+	case err == nil:
+		return admit.Completed
+	case errors.Is(err, ErrCancelled):
+		return admit.Cancelled
+	case errors.Is(err, ErrDiverged):
+		return admit.Diverged
+	case errors.Is(err, ErrPanicked):
+		return admit.Panicked
 	default:
-		return "closed"
+		return admit.Failed
 	}
 }

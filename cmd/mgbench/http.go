@@ -284,7 +284,7 @@ func runHTTPMode(cfg serve.Config, keys []pbmg.ServeKey, reqN []int, clients int
 		}
 		for _, fs := range metrics.Families {
 			if fs.Family == key.Family.String() {
-				cell.Shed = fs.Shed + fs.ShedQueueFull + fs.ShedDeadline
+				cell.Shed = fs.Shed
 			}
 		}
 		mr.Families = append(mr.Families, cell)

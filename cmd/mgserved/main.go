@@ -6,7 +6,9 @@
 // mid-cycle, diverged reduced-precision solves escalate to float64, kernel
 // panics answer 500 without taking the process down, and a per-family
 // circuit breaker (-breaker-threshold, -breaker-cooldown) sheds 503 +
-// Retry-After after consecutive solver failures.
+// Retry-After after consecutive solver failures. A family named in -quota
+// runs only on its own quota slots; the families not named share
+// -inflight.
 //
 //	mgserved -addr :8080 -configdir tables/ -quota poisson=6,poisson3d=2
 //	mgserved -addr :8080 -families poisson,poisson3d -size 65 -size3d 17
@@ -59,10 +61,9 @@ func main() {
 	size := flag.Int("size", 65, "tuned max grid side for 2D families with -families")
 	size3d := flag.Int("size3d", 17, "tuned max grid side for 3D families with -families")
 	workers := flag.Int("workers", runtime.NumCPU(), "kernel worker threads shared by all solves")
-	inflight := flag.Int("inflight", 0, "global max in-flight solves (0: 2×GOMAXPROCS; raised to the quota sum when quotas bind)")
-	quota := flag.String("quota", "", "per-family concurrent-solve quotas, e.g. poisson=6,aniso:0.01=4,poisson3d=2")
-	quotaDefault := flag.Int("quota-default", 0, "quota for families not named in -quota (0: global limit only)")
-	queue := flag.Int("queue", 0, "per-family admission queue depth before shedding 429s (0: 4×quota)")
+	inflight := flag.Int("inflight", 0, "max in-flight solves shared by the families without a quota (0: 2×GOMAXPROCS)")
+	quota := flag.String("quota", "", "per-family concurrent-solve quotas, e.g. poisson=6,aniso:0.01=4,poisson3d=2; a quota'd family runs only on its own slots")
+	queue := flag.Int("queue", 0, "admission queue depth of each quota'd family before shedding 429s (0: 4×quota)")
 	maxWait := flag.Duration("maxwait", serve.DefaultMaxWait, "request timeout (admission + solve) for requests without a deadline")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight solves on SIGTERM")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive solver failures opening a family's circuit breaker (0: default 5)")
@@ -74,14 +75,13 @@ func main() {
 	}
 
 	cfg := serve.Config{
-		Dir:          *configdir,
-		Workers:      *workers,
-		MaxInFlight:  *inflight,
-		DefaultQuota: *quotaDefault,
-		QueueDepth:   *queue,
-		MaxWait:      *maxWait,
-		Breaker:      pbmg.BreakerConfig{Threshold: *breakerThreshold, Cooldown: *breakerCooldown},
-		Logf:         logf,
+		Dir:         *configdir,
+		Workers:     *workers,
+		MaxInFlight: *inflight,
+		QueueDepth:  *queue,
+		MaxWait:     *maxWait,
+		Breaker:     pbmg.BreakerConfig{Threshold: *breakerThreshold, Cooldown: *breakerCooldown},
+		Logf:        logf,
 	}
 	if *quota != "" {
 		q, err := serve.ParseQuotaSpec(*quota)

@@ -3,7 +3,8 @@
 // Service.SolveBatch fanned out a goroutine per problem, so a 10k-problem
 // batch parked 10k goroutines on the admission semaphore; the fix — a
 // worker loop sized by the admission limit — is now the idiom this
-// analyzer enforces mechanically in serve, registry.go, service.go, and
+// analyzer enforces mechanically in serve, registry.go, service.go,
+// internal/admit (the admission gate every served solve passes), and
 // internal/mixload.
 //
 // A `go` statement in scope is reported unless its launch is visibly
@@ -46,7 +47,7 @@ var acquireRx = regexp.MustCompile(`^(Acquire|TryAcquire|acquire|admit)`)
 var semNameRx = regexp.MustCompile(`(?i)(sem|slot|ticket|gate|tok|quota)`)
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	inScopePkg := lintutil.PkgInScope(pass.Pkg.Path(), "serve", "mixload")
+	inScopePkg := lintutil.PkgInScope(pass.Pkg.Path(), "serve", "admit", "mixload")
 	allow := lintutil.NewAllowIndex(pass, "boundedgo")
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 
@@ -58,8 +59,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		if lintutil.IsTestFile(pass.Fset, g.Pos()) || allow.Allowed(g.Pos()) {
 			return false
 		}
-		// Scope: the serve/mixload packages wholesale, plus the registry
-		// and service layers of the root package by filename.
+		// Scope: the serve/admit/mixload packages wholesale, plus the
+		// registry and service layers of the root package by filename.
 		if !inScopePkg {
 			base := lintutil.FileBase(pass.Fset, g.Pos())
 			if base != "registry.go" && base != "service.go" {

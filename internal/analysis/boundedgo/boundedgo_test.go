@@ -8,5 +8,5 @@ import (
 )
 
 func TestBoundedgo(t *testing.T) {
-	atest.Run(t, "testdata", boundedgo.Analyzer, "serve")
+	atest.Run(t, "testdata", boundedgo.Analyzer, "serve", "admit")
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"pbmg/internal/admit"
 	"pbmg/internal/core"
 	"pbmg/internal/direct"
 	"pbmg/internal/sched"
@@ -18,9 +19,10 @@ import (
 // Solver per operator family and routes requests to it, so a single process
 // serves several tuned configurations side by side — the paper's
 // tune-once/serve-many model (§3.2.1) extended from one configuration to a
-// catalog of them. Every family the registry serves shares one worker pool,
-// one global admission limit, and one bounded direct-factor cache, so adding
-// a family adds tables, not threads.
+// catalog of them. Every family the registry serves shares one worker pool
+// and one bounded direct-factor cache, so adding a family adds tables, not
+// threads; its solves run on its own quota slots when it has a quota, on
+// the registry's shared cap otherwise.
 
 // ServeKey identifies one tuned configuration in a Registry: the operator
 // family, its resolved parameter (0 for the parameterless Laplacians), and
@@ -98,9 +100,17 @@ type RegistryOptions struct {
 	// Workers sets the shared kernel worker pool for every served family
 	// (≤ 1: serial).
 	Workers int
-	// MaxInFlight is the global admission limit across all families (≤ 0:
-	// 2×GOMAXPROCS).
+	// MaxInFlight caps the solves running at once across every family
+	// without a quota (≤ 0: 2×GOMAXPROCS).
 	MaxInFlight int
+	// Quotas gives families their own concurrent-solve slots, keyed the
+	// way ServeKey.String spells them ("poisson", "aniso:0.01"). A quota'd
+	// family draws only on its own slots, never on the shared cap.
+	Quotas map[string]int
+	// QueueDepth bounds how many requests of a quota'd family may wait for
+	// a slot; beyond it requests are shed with ErrQueueFull (≤ 0: 4× the
+	// family's quota). Families without a quota have no queue bound.
+	QueueDepth int
 	// FactorCacheCap bounds the shared direct-factor cache (0:
 	// DefaultFactorCacheCap; < 0: unbounded).
 	FactorCacheCap int
@@ -112,15 +122,15 @@ type RegistryOptions struct {
 
 // Registry serves several tuned operator families from one process. Each
 // registered configuration gets a Service routed by (family, ε); all of them
-// share the registry's worker pool, its global admission semaphore, and its
-// bounded direct-factor cache. A Registry is safe for concurrent use: any
-// number of goroutines may Lookup and Solve while families are being
-// registered. Release with Close.
+// share the registry's worker pool and its bounded direct-factor cache, and
+// those without a quota share its admission cap. A Registry is safe for
+// concurrent use: any number of goroutines may Lookup and Solve while
+// families are being registered. Release with Close.
 type Registry struct {
-	pool       *sched.Pool
-	cache      *direct.Cache
-	sem        chan struct{}
-	breakerCfg BreakerConfig
+	pool   *sched.Pool
+	cache  *direct.Cache
+	shared chan struct{} // slots of the families without a quota
+	opts   RegistryOptions
 
 	unroutable atomic.Int64
 
@@ -148,16 +158,29 @@ func NewRegistry(o RegistryOptions) *Registry {
 		cacheCap = 0 // direct.NewCache treats ≤ 0 as unbounded
 	}
 	return &Registry{
-		pool:       pool,
-		cache:      direct.NewCache(cacheCap),
-		sem:        make(chan struct{}, maxInFlight),
-		breakerCfg: o.Breaker,
-		services:   make(map[ServeKey]*Service),
+		pool:     pool,
+		cache:    direct.NewCache(cacheCap),
+		shared:   make(chan struct{}, maxInFlight),
+		opts:     o,
+		services: make(map[ServeKey]*Service),
 	}
 }
 
-// MaxInFlight returns the global admission limit shared by every family.
-func (r *Registry) MaxInFlight() int { return cap(r.sem) }
+// MaxInFlight returns the most solves that can run at once: the sum of
+// the served families' quotas, plus the shared cap if any served family
+// has no quota.
+func (r *Registry) MaxInFlight() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	quotas, shared := 0, 0
+	for _, svc := range r.services {
+		quotas += svc.gate.Quota()
+		if svc.gate.Quota() == 0 {
+			shared = cap(r.shared)
+		}
+	}
+	return quotas + shared
+}
 
 // PoolSteals returns the shared worker pool's cumulative successful-steal
 // count (0 for a serial registry) — scheduler visibility for benchmarks.
@@ -170,15 +193,15 @@ func (r *Registry) PoolSteals() int64 {
 
 // Register adopts a tuned solver into the registry: its workspace is rewired
 // onto the registry's shared worker pool and factor cache, and it is served
-// behind the global admission limit. The registry service also becomes the
-// solver's default service — replacing any private one created earlier — so
-// Solver.SolveBatch honors the global limit and its completions appear in
-// the registry metrics rather than on a private limiter. Register must not
-// be called while solves are in flight on the solver. The solver's own pool
-// (if it was tuned with one) stays with the caller — Solver.Close still
-// releases it — but solves routed through the registry run on the shared
-// pool. Registering a second configuration with the same (family, ε, dim)
-// key fails.
+// behind the family's quota, or the shared cap when it has none. The
+// registry service also becomes the solver's default service — replacing
+// any private one created earlier — so Solver.SolveBatch passes the same
+// admission and its completions appear in the registry metrics rather than
+// on a private limiter. Register must not be called while solves are in
+// flight on the solver. The solver's own pool (if it was tuned with one)
+// stays with the caller — Solver.Close still releases it — but solves
+// routed through the registry run on the shared pool. Registering a second
+// configuration with the same (family, ε, dim) key fails.
 func (r *Registry) Register(s *Solver) (*Service, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -201,11 +224,11 @@ func (r *Registry) registerLocked(s *Solver) *Service {
 	key := serveKeyOf(s)
 	s.ws.Pool = r.pool
 	s.ws.FactorCache = r.cache
-	svc := newService(s, r.sem, r.breakerCfg)
+	svc := &Service{s: s, gate: admit.New(r.shared, r.opts.Quotas[key.String()], r.opts.QueueDepth, r.opts.Breaker)}
 	// The registry service becomes the solver's default service even if a
 	// private one was already created before registration, so
-	// Solver.SolveBatch always honors the global limit and its completions
-	// land in the registry metrics. The mutex-guarded setter makes this safe
+	// Solver.SolveBatch always passes the family's admission and its
+	// completions land in the registry metrics. The mutex-guarded setter makes this safe
 	// against concurrent DefaultService readers; only the pool and cache
 	// rewires above need Register's no-solves-in-flight contract.
 	s.setDefaultService(svc)
@@ -354,7 +377,7 @@ func (r *Registry) routeError(key ServeKey) error {
 }
 
 // Solve routes one tuned FULL-MULTIGRID solve to the family's service,
-// blocking while the registry-wide MaxInFlight solves are already running.
+// blocking while the family's quota (or the shared cap) is fully in use.
 // See Solver.Solve.
 func (r *Registry) Solve(f Family, eps float64, x, b *Grid, accuracy float64) error {
 	svc, err := r.Lookup(f, eps)

@@ -1,12 +1,15 @@
 package pbmg
 
 import (
+	"context"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // tuneRegistry builds a registry serving the 2D Poisson family (N ≤ 33) and
@@ -295,5 +298,61 @@ func TestRegistrySolveBatchUsesGlobalAdmission(t *testing.T) {
 	}
 	if got := s2.DefaultService(); got != svc2 || got == pre {
 		t.Fatal("registration did not replace the pre-existing private default service")
+	}
+}
+
+// TestRegistryQuotaAdmission: in process, a quota'd family runs only on its
+// own slots — the unquota'd family saturating the shared cap does not
+// block it — and its bounded queue sheds single solves and whole batches
+// with ErrQueueFull once full.
+func TestRegistryQuotaAdmission(t *testing.T) {
+	r := NewRegistry(RegistryOptions{MaxInFlight: 1, Quotas: map[string]int{"poisson": 1}, QueueDepth: 1})
+	t.Cleanup(r.Close)
+	pois, err := r.Tune(Options{MaxSize: 9, Family: FamilyPoisson, Machine: "intel-harpertown", Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vc, err := r.Tune(Options{MaxSize: 9, Family: FamilyVarCoef, Machine: "intel-harpertown", Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.MaxInFlight(); got != 2 {
+		t.Fatalf("MaxInFlight = %d, want quota 1 + shared cap 1", got)
+	}
+	defer vc.gate.Hold()() // saturate the shared cap
+
+	p := NewProblem(9, Unbiased, 3)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := pois.SolveContext(ctx, p.NewState(), p.B, 1e3); err != nil {
+		t.Fatalf("quota'd solve blocked by the saturated shared cap: %v", err)
+	}
+	vp, err := vc.Solver().NewFamilyProblem(9, Unbiased, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, cancel2 := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel2()
+	if err := vc.SolveContext(short, vp.NewState(), vp.B, 1e3); !errors.Is(err, ErrShed) {
+		t.Fatalf("unquota'd solve at a saturated shared cap: err = %v, want ErrShed", err)
+	}
+
+	// Quota 1 + queue 1: two places. Take both and the next request sheds.
+	for range 2 {
+		if err := pois.gate.Join(); err != nil {
+			t.Fatal(err)
+		}
+		defer pois.gate.Leave()
+	}
+	if err := pois.SolveContext(ctx, p.NewState(), p.B, 1e3); !errors.Is(err, ErrQueueFull) || !errors.Is(err, ErrShed) {
+		t.Fatalf("solve at a full queue: err = %v, want ErrQueueFull wrapping ErrShed", err)
+	}
+	batch := []BatchProblem{{X: p.NewState(), B: p.B}, {X: p.NewState(), B: p.B}}
+	if errs, err := pois.SolveBatchContext(ctx, batch, 1e3); !errors.Is(err, ErrQueueFull) || errs != nil {
+		t.Fatalf("batch at a full queue: errs %v, err %v; want the whole batch shed with ErrQueueFull", errs, err)
+	}
+	m := pois.Metrics()
+	if m.Shed != 2 || m.ShedQueueFull != 2 || m.Completed != 1 {
+		t.Errorf("poisson metrics = %+v, want 1 completed and 2 queue-full sheds", m)
 	}
 }

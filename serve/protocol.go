@@ -27,7 +27,7 @@ type SolveRequest struct {
 	// absent the solve starts from the zero grid (zero boundary).
 	X []float64 `json:"x,omitempty"`
 	// DeadlineMs bounds the WHOLE request server-side: a request still
-	// queued behind its family quota when the deadline expires is shed with
+	// waiting in admission when the deadline expires is shed with
 	// 503, and an admitted solve still running is cancelled cooperatively at
 	// its next cycle or level boundary (also 503, within roughly one cycle's
 	// latency). 0 falls back to the server's MaxWait.
@@ -53,10 +53,9 @@ type SolveResponse struct {
 }
 
 // BatchRequest is the body of POST /v1/batch: several problems of one
-// family solved concurrently under the family's quota. The batch holds ONE
-// slot in the family's admission queue; its problems then fan out across
-// the family's quota like Service.SolveBatch fans across the admission
-// limit.
+// family solved concurrently through pbmg.Service.SolveBatchContext. The
+// batch holds ONE place in the family's admission queue; its problems then
+// fan out across the family's solve slots.
 type BatchRequest struct {
 	Family   string  `json:"family"`
 	Eps      float64 `json:"eps,omitempty"`
@@ -99,22 +98,24 @@ type ErrorResponse struct {
 }
 
 // FamilyStatus is one served family's block in the /metrics answer: the
-// catalog entry, its quota configuration, the underlying service counters
-// (see pbmg.ServiceMetrics), and the HTTP layer's queue/shed counters.
+// catalog entry, its admission configuration, and the underlying service
+// counters (see pbmg.ServiceMetrics).
 type FamilyStatus struct {
 	Family  string  `json:"family"`
 	Eps     float64 `json:"eps,omitempty"`
 	Dim     int     `json:"dim"`
 	MaxSize int     `json:"maxSize"`
-	// Quota is the family's concurrent-solve limit (0: global limit only);
-	// QueueDepth is its bounded admission queue.
+	// Quota is the family's concurrent-solve limit (0: it shares the
+	// server's MaxInFlight cap); QueueDepth is its bounded admission queue
+	// (0: unbounded, for families without a quota).
 	Quota      int `json:"quota"`
 	QueueDepth int `json:"queueDepth"`
 	// Precisions lists the distinct plan storage precisions present in the
 	// family's tuned table ("f64", "f32", "mixed"), so operators can see
 	// which families serve mixed-precision plans.
 	Precisions []string `json:"precisions,omitempty"`
-	// Service counters (pbmg.ServiceMetrics).
+	// Service counters (pbmg.ServiceMetrics). Shed is the family's one
+	// shed total: ShedQueueFull + ShedDeadline + BreakerShed.
 	Admitted  int64 `json:"admitted"`
 	Completed int64 `json:"completed"`
 	Failed    int64 `json:"failed"`
@@ -136,9 +137,10 @@ type FamilyStatus struct {
 	Breaker      string `json:"breaker"`
 	BreakerShed  int64  `json:"breakerShed"`
 	BreakerOpens int64  `json:"breakerOpens"`
-	// QueueLen is the gauge of requests queued behind the quota right now;
-	// ShedQueueFull and ShedDeadline count 429s (queue full) and 503s
-	// (deadline expired while queued) at the HTTP admission layer.
+	// QueueLen is the gauge of requests waiting for a slot right now (the
+	// same gauge as Waiting); ShedQueueFull and ShedDeadline split Shed
+	// into 429s (queue full) and 503s (deadline expired, or client gone,
+	// before a slot freed).
 	QueueLen      int   `json:"queueLen"`
 	ShedQueueFull int64 `json:"shedQueueFull"`
 	ShedDeadline  int64 `json:"shedDeadline"`
@@ -151,8 +153,9 @@ type Metrics struct {
 	Version   int64  `json:"version"`
 	ConfigDir string `json:"configDir"`
 	Draining  bool   `json:"draining"`
-	// GlobalMaxInFlight is the registry-wide admission limit behind the
-	// per-family quotas.
+	// GlobalMaxInFlight is the most solves that can run at once: the
+	// quota sum, plus the shared MaxInFlight cap if any family has no
+	// quota.
 	GlobalMaxInFlight int            `json:"globalMaxInFlight"`
 	Families          []FamilyStatus `json:"families"`
 	// Aggregate sums the per-family service counters.

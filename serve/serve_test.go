@@ -77,17 +77,17 @@ func startServer(t *testing.T, cfg Config) (*Server, *Client) {
 	return srv, &Client{BaseURL: hs.URL}
 }
 
-// familyGate digs out one family's admission gate for deterministic
-// white-box control of its slots and tickets.
-func familyGate(t *testing.T, s *Server, family string) *gate {
+// familyService digs out one family's service; tests take its admission
+// gate's slots (Hold) and queue places (Join) for deterministic control.
+func familyService(t *testing.T, s *Server, family string) *pbmg.Service {
 	t.Helper()
 	c := s.acquireCatalog()
 	defer c.release()
-	_, g, err := c.route(family, 0)
+	svc, err := c.route(family, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g
+	return svc
 }
 
 // newProblem draws one family problem with its reference solution
@@ -231,33 +231,37 @@ func TestServeQuotaShedding(t *testing.T) {
 		QueueDepth: 1,
 	})
 	ctx := context.Background()
-	g := familyGate(t, srv, "poisson")
+	g := familyService(t, srv, "poisson").Admission()
 
-	// Occupy the family's only solve slot and one of its two tickets.
-	g.tickets <- struct{}{}
-	g.slots <- struct{}{}
+	// Occupy the family's only solve slot and one of its two queue places.
+	if err := g.Join(); err != nil {
+		t.Fatal(err)
+	}
+	release := g.Hold()
 
 	p := newProblem(t, pbmg.FamilyPoisson, 17, 7)
 	req := SolveRequest{Family: "poisson", N: 17, Accuracy: 1e3, B: p.B.Data(), DeadlineMs: 50}
 
-	// The request takes the last ticket, waits for a slot that never
+	// The request takes the last queue place, waits for a slot that never
 	// frees, and is shed when its deadline expires: 503.
 	_, err := cl.Solve(ctx, req)
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable || !se.Shed() || se.RetryAfter < 1 {
 		t.Fatalf("queued-past-deadline request: err = %v, want a retryable 503", err)
 	}
-	if got := g.shedDeadline.Load(); got != 1 {
-		t.Errorf("shedDeadline = %d, want 1", got)
+	if m := g.Metrics(); m.Shed-m.ShedQueueFull-m.BreakerShed != 1 {
+		t.Errorf("shedDeadline = %d, want 1", m.Shed-m.ShedQueueFull-m.BreakerShed)
 	}
 
 	// Fill the queue: the next request is shed immediately with 429.
-	g.tickets <- struct{}{}
+	if err := g.Join(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := cl.Solve(ctx, req); !errors.As(err, &se) ||
 		se.Code != http.StatusTooManyRequests || !se.Shed() || se.RetryAfter < 1 {
 		t.Fatalf("full-queue request: err = %v, want a retryable 429", err)
 	}
-	if got := g.shedQueueFull.Load(); got != 1 {
+	if got := g.Metrics().ShedQueueFull; got != 1 {
 		t.Errorf("shedQueueFull = %d, want 1", got)
 	}
 
@@ -276,19 +280,18 @@ func TestServeQuotaShedding(t *testing.T) {
 	}
 
 	// Free the gate: the same request is served normally again.
-	<-g.tickets
-	<-g.tickets
-	<-g.slots
+	g.Leave()
+	g.Leave()
+	release()
 	if _, err := cl.Solve(ctx, req); err != nil {
 		t.Fatalf("request after the gate freed: %v", err)
 	}
 }
 
-// TestServeQuotaIsolation is the starvation regression: with per-family
-// quotas the global limit is raised to the quota sum, so a 3D burst
-// holding every 3D slot (and its whole queue) cannot keep a 2D request
-// from being admitted — and the burst itself is shed with 429 instead of
-// spilling into shared capacity.
+// TestServeQuotaIsolation is the starvation regression: a quota'd family
+// runs only on its own slots, so a 3D burst holding every 3D slot (and its
+// whole queue) cannot keep a 2D request from being admitted — and the
+// burst itself is shed with 429 instead of spilling into shared capacity.
 func TestServeQuotaIsolation(t *testing.T) {
 	srv, cl := startServer(t, Config{
 		MaxInFlight: 2, // deliberately smaller than the quota sum
@@ -296,12 +299,14 @@ func TestServeQuotaIsolation(t *testing.T) {
 	})
 	ctx := context.Background()
 
-	g3 := familyGate(t, srv, "poisson3d")
-	for i := 0; i < cap(g3.slots); i++ {
-		g3.slots <- struct{}{}
+	g3 := familyService(t, srv, "poisson3d").Admission()
+	for i := 0; i < g3.Cap(); i++ {
+		g3.Hold()
 	}
-	for i := 0; i < cap(g3.tickets); i++ {
-		g3.tickets <- struct{}{}
+	for i := 0; i < g3.Quota()+g3.QueueDepth(); i++ {
+		if err := g3.Join(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// 2D traffic is admitted and served despite the saturated 3D family.
@@ -320,15 +325,134 @@ func TestServeQuotaIsolation(t *testing.T) {
 		t.Fatalf("3D request at a full gate: err = %v, want 429", err)
 	}
 
-	// The registry-wide limit must be the quota sum, not the configured 2:
-	// otherwise the global semaphore would re-introduce the starvation the
-	// quotas exist to fix.
+	// With every family quota'd, the most solves that can run at once is
+	// the quota sum, not the configured 2: no family draws on the shared
+	// cap, which would re-introduce the starvation the quotas exist to fix.
 	m, err := cl.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.GlobalMaxInFlight != 4 {
 		t.Errorf("GlobalMaxInFlight = %d, want the quota sum 4", m.GlobalMaxInFlight)
+	}
+}
+
+// TestServePartialQuota is the regression for quotas on some families
+// only: the unquota'd families saturating the shared cap must not block a
+// quota'd family whose own slots are free.
+func TestServePartialQuota(t *testing.T) {
+	srv, cl := startServer(t, Config{Quotas: map[string]int{"poisson": 2}})
+	ctx := context.Background()
+
+	g3 := familyService(t, srv, "poisson3d").Admission()
+	for i := 0; i < g3.Cap(); i++ {
+		defer g3.Hold()()
+	}
+
+	p := newProblem(t, pbmg.FamilyPoisson, 17, 7)
+	if _, err := cl.Solve(ctx, SolveRequest{
+		Family: "poisson", N: 17, Accuracy: 1e3, B: p.B.Data(), DeadlineMs: 300,
+	}); err != nil {
+		t.Fatalf("quota'd request blocked by the saturated shared cap: %v", err)
+	}
+	// The unquota'd family still waits on the shared cap, and sheds.
+	var se *StatusError
+	if _, err := cl.Solve(ctx, SolveRequest{
+		Family: "poisson3d", N: 9, Accuracy: 1e3, B: make([]float64, 9*9*9), DeadlineMs: 50,
+	}); !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
+		t.Fatalf("3D request at a saturated shared cap: err = %v, want 503", err)
+	}
+
+	m, err := cl.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 + g3.Cap(); m.GlobalMaxInFlight != want {
+		t.Errorf("GlobalMaxInFlight = %d, want quota 2 + shared cap %d", m.GlobalMaxInFlight, g3.Cap())
+	}
+}
+
+// TestServeSolveNsExcludesAdmissionWait: SolveResponse.SolveNs times the
+// solve alone, not the time the request waited for a slot.
+func TestServeSolveNsExcludesAdmissionWait(t *testing.T) {
+	srv, cl := startServer(t, Config{MaxInFlight: 1})
+	svc := familyService(t, srv, "poisson")
+	release := svc.Admission().Hold()
+
+	p := newProblem(t, pbmg.FamilyPoisson, 17, 7)
+	type result struct {
+		resp *SolveResponse
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, err := cl.Solve(context.Background(), SolveRequest{
+			Family: "poisson", N: 17, Accuracy: 1e3, B: p.B.Data(), DeadlineMs: 30000,
+		})
+		done <- result{resp, err}
+	}()
+	waitUntil := time.Now().Add(5 * time.Second)
+	for svc.Metrics().Waiting == 0 {
+		if time.Now().After(waitUntil) {
+			t.Fatal("request never reached the admission queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	const hold = 400 * time.Millisecond
+	time.Sleep(hold)
+	release()
+
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if got := time.Duration(r.resp.SolveNs); got <= 0 || got >= hold {
+		t.Errorf("SolveNs = %v after a %v admission wait, want the solve alone", got, hold)
+	}
+}
+
+// TestServeMetricsShedTotal: a family's shed is one total on /metrics,
+// split exactly into queue-full, deadline and breaker sheds.
+func TestServeMetricsShedTotal(t *testing.T) {
+	srv, cl := startServer(t, Config{
+		Quotas:     map[string]int{"poisson": 1},
+		QueueDepth: 1,
+	})
+	ctx := context.Background()
+	g := familyService(t, srv, "poisson").Admission()
+	if err := g.Join(); err != nil {
+		t.Fatal(err)
+	}
+	defer g.Hold()()
+
+	p := newProblem(t, pbmg.FamilyPoisson, 17, 7)
+	req := SolveRequest{Family: "poisson", N: 17, Accuracy: 1e3, B: p.B.Data(), DeadlineMs: 50}
+	var se *StatusError
+	if _, err := cl.Solve(ctx, req); !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
+		t.Fatalf("queued-past-deadline request: err = %v, want 503", err)
+	}
+	if err := g.Join(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Solve(ctx, req); !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
+		t.Fatalf("full-queue request: err = %v, want 429", err)
+	}
+
+	m, err := cl.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fs := range m.Families {
+		if fs.Family != "poisson" {
+			continue
+		}
+		if fs.Shed != 2 || fs.ShedQueueFull+fs.ShedDeadline+fs.BreakerShed != fs.Shed {
+			t.Errorf("poisson sheds: shed %d, queue-full %d + deadline %d + breaker %d; want a total of 2",
+				fs.Shed, fs.ShedQueueFull, fs.ShedDeadline, fs.BreakerShed)
+		}
+	}
+	if m.Aggregate.Shed != 2 {
+		t.Errorf("aggregate shed = %d, want 2", m.Aggregate.Shed)
 	}
 }
 
@@ -442,13 +566,16 @@ func TestServeReloadUnderTraffic(t *testing.T) {
 func TestServeGracefulDrain(t *testing.T) {
 	srv, cl := startServer(t, Config{Quotas: map[string]int{"poisson": 1, "poisson3d": 1}})
 	ctx := context.Background()
-	g := familyGate(t, srv, "poisson")
+	svc := familyService(t, srv, "poisson")
+	g := svc.Admission()
 
-	// Hold the family's only slot (with its ticket, like a real admitted
-	// request) so the in-flight request is provably still queued in
-	// admission when the drain begins.
-	g.tickets <- struct{}{}
-	g.slots <- struct{}{}
+	// Hold the family's only slot (with its queue place, like a real
+	// admitted request) so the in-flight request is provably still queued
+	// in admission when the drain begins.
+	if err := g.Join(); err != nil {
+		t.Fatal(err)
+	}
+	release := g.Hold()
 	p := newProblem(t, pbmg.FamilyPoisson, 9, 5)
 	body, err := json.Marshal(SolveRequest{Family: "poisson", N: 9, Accuracy: 1e3, B: p.B.Data(), DeadlineMs: 30000})
 	if err != nil {
@@ -460,7 +587,7 @@ func TestServeGracefulDrain(t *testing.T) {
 		done <- err
 	}()
 	waitUntil := time.Now().Add(5 * time.Second)
-	for g.queueLen() == 0 {
+	for svc.Metrics().Waiting == 0 {
 		if time.Now().After(waitUntil) {
 			t.Fatal("in-flight request never reached the admission queue")
 		}
@@ -496,7 +623,7 @@ func TestServeGracefulDrain(t *testing.T) {
 
 	// The admitted request completes once its slot frees — the drain never
 	// revokes it.
-	<-g.slots
+	release()
 	if err := <-done; err != nil {
 		t.Fatalf("in-flight request lost during drain: %v", err)
 	}

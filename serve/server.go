@@ -1,16 +1,17 @@
-// Package serve is the HTTP front end over a pbmg.Registry: JSON solve
-// and batch endpoints routed by (family, ε, dim), per-family admission
-// quotas with a bounded wait queue and explicit load-shedding (429 +
-// Retry-After when a family's queue is full, so a burst of expensive
-// solves cannot starve the cheap families), request deadlines propagated
-// into admission, atomic hot-reload of the tuned-table directory, and
-// graceful drain — the paper's tune-once/serve-many model (§3.2.1) put on
-// the network.
+// Package serve is the HTTP front end over a pbmg.Registry — the paper's
+// tune-once/serve-many model (§3.2.1) put on the network. It keeps
+// routing by (family, ε, dim), the JSON codec, atomic hot-reload of the
+// tuned-table directory, and graceful drain. Admission is the registry's:
+// every request passes its family's pbmg admission gate (quota slots or
+// the shared cap, bounded queue, circuit breaker), and serve maps the
+// typed sheds to statuses — 429 + Retry-After when a family's queue is
+// full, so a burst of expensive solves cannot starve the cheap families;
+// 503 + Retry-After when a request's deadline expires in admission or the
+// family's breaker is open after consecutive solver failures.
 //
 // The failure paths are first-class: request deadlines cancel admitted
-// solves mid-cycle (503), diverged and panicked solves answer 500 while the
-// daemon keeps serving, and each family's circuit breaker sheds with 503 +
-// Retry-After after consecutive solver failures until a probe recloses it.
+// solves mid-cycle (503), and diverged and panicked solves answer 500 while
+// the daemon keeps serving.
 //
 // Endpoints:
 //
@@ -53,20 +54,16 @@ type Config struct {
 	// Workers sets the kernel worker pool shared by every family in a
 	// catalog generation (≤ 1: serial).
 	Workers int
-	// MaxInFlight is the registry-wide admission limit (≤ 0: 2×GOMAXPROCS).
-	// With quotas configured, the effective global limit is raised to at
-	// least the quota sum so the per-family gates stay binding.
+	// MaxInFlight caps the solves running at once across the families
+	// without a quota (≤ 0: 2×GOMAXPROCS).
 	MaxInFlight int
-	// Quotas caps concurrent solves per family, keyed the way the catalog
-	// spells them ("poisson", "aniso:0.01", "poisson3d"). Every named
-	// family must exist in the catalog. Families not named get
-	// DefaultQuota.
+	// Quotas gives families their own concurrent-solve slots, keyed the
+	// way the catalog spells them ("poisson", "aniso:0.01", "poisson3d").
+	// Every named family must exist in the catalog. A quota'd family runs
+	// only on its own slots; the others share MaxInFlight.
 	Quotas map[string]int
-	// DefaultQuota applies to families absent from Quotas (0: no
-	// per-family cap — those families share only the global limit).
-	DefaultQuota int
-	// QueueDepth bounds each family's admission queue; beyond it requests
-	// are shed with 429 (≤ 0: 4× the family's quota).
+	// QueueDepth bounds each quota'd family's admission queue; beyond it
+	// requests are shed with 429 (≤ 0: 4× the family's quota).
 	QueueDepth int
 	// MaxWait bounds requests without their own DeadlineMs: admission wait
 	// and solve together (0: DefaultMaxWait). Like DeadlineMs, it is a full
@@ -115,8 +112,8 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{cfg: cfg, cur: c}
 	s.version.Store(1)
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/solve", s.handleSolve)
-	mux.HandleFunc("POST /v1/batch", s.handleBatch)
+	mux.HandleFunc("POST /v1/solve", s.serving(s.handleSolve))
+	mux.HandleFunc("POST /v1/batch", s.serving(s.handleBatch))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -127,7 +124,7 @@ func New(cfg Config) (*Server, error) {
 		mux.HandleFunc("POST /-/fault", s.handleFault)
 	}
 	s.mux = mux
-	s.logf("serving %d families from %s (version 1)", len(c.order), cfg.Dir)
+	s.logf("serving %d families from %s (version 1)", len(c.reg.Keys()), cfg.Dir)
 	return s, nil
 }
 
@@ -157,7 +154,7 @@ func (s *Server) Reload() (int64, error) {
 	v := s.version.Add(1)
 	s.mu.Unlock()
 	go old.retire() //mglint:allow boundedgo — one retire goroutine per reload generation, bounded by reload rate
-	s.logf("reloaded %s: %d families (version %d)", s.cfg.Dir, len(next.order), v)
+	s.logf("reloaded %s: %d families (version %d)", s.cfg.Dir, len(next.reg.Keys()), v)
 	return v, nil
 }
 
@@ -215,16 +212,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // writeError maps an error to its HTTP status: queue-full sheds are 429
-// with Retry-After; breaker sheds, admission-deadline sheds, cancelled
-// solves, and other load sheds 503 with Retry-After (the breaker's own
-// suggested delay when it has one); diverged and panicked solves are 500
-// (the request failed inside the solver, the daemon is fine); routing
-// misses 404; everything else the given fallback.
+// with Retry-After; breaker sheds, admission-deadline sheds and cancelled
+// solves 503 with Retry-After (the breaker's own suggested delay when it
+// has one); diverged and panicked solves are 500 (the request failed inside
+// the solver, the daemon is fine); everything else the given fallback
+// (404 for routing misses, 400 for bad requests).
 func writeError(w http.ResponseWriter, err error, fallback int) {
 	status := fallback
 	var boe *pbmg.BreakerOpenError
 	switch {
-	case errors.Is(err, errQueueFull):
+	case errors.Is(err, pbmg.ErrQueueFull):
 		status = http.StatusTooManyRequests
 		w.Header().Set("Retry-After", "1")
 	case errors.As(err, &boe):
@@ -234,7 +231,7 @@ func writeError(w http.ResponseWriter, err error, fallback int) {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	case errors.Is(err, errAdmissionDeadline), errors.Is(err, pbmg.ErrShed), errors.Is(err, pbmg.ErrCancelled):
+	case errors.Is(err, pbmg.ErrShed), errors.Is(err, pbmg.ErrCancelled):
 		status = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", "1")
 	case errors.Is(err, pbmg.ErrDiverged), errors.Is(err, pbmg.ErrPanicked):
@@ -243,11 +240,21 @@ func writeError(w http.ResponseWriter, err error, fallback int) {
 	writeJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
-// shedDrainingNow answers a request that arrived while draining.
-func (s *Server) shedDrainingNow(w http.ResponseWriter) {
-	s.shedDraining.Add(1)
-	w.Header().Set("Retry-After", "2")
-	writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "serve: server is draining"})
+// serving wraps a solve or batch handler: while draining it answers a
+// retryable 503 (counted in ShedDraining), otherwise it runs the handler
+// counted in ActiveRequests, which Drain waits out.
+func (s *Server) serving(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.draining.Load() {
+			s.shedDraining.Add(1)
+			w.Header().Set("Retry-After", "2")
+			writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "serve: server is draining"})
+			return
+		}
+		s.active.Add(1)
+		defer s.active.Add(-1)
+		h(w, r)
+	}
 }
 
 // requestContext derives the request-bounding context: the request's own
@@ -263,18 +270,14 @@ func (s *Server) requestContext(r *http.Request, deadlineMs int64) (context.Cont
 	return context.WithTimeout(r.Context(), wait)
 }
 
-// route resolves a request's family to its service and admission gate in
-// one catalog generation.
-func (c *catalog) route(familyName string, eps float64) (*pbmg.Service, *gate, error) {
+// route resolves a request's family to its service in one catalog
+// generation.
+func (c *catalog) route(familyName string, eps float64) (*pbmg.Service, error) {
 	f, err := pbmg.ParseFamily(familyName)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	svc, err := c.reg.Lookup(f, eps)
-	if err != nil {
-		return nil, nil, err
-	}
-	return svc, c.gates[svc.Key()], nil
+	return c.reg.Lookup(f, eps)
 }
 
 // buildGrids validates and materializes one problem's grids.
@@ -325,13 +328,6 @@ func firstNonFinite(vs []float64) int {
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.shedDrainingNow(w)
-		return
-	}
-	s.active.Add(1)
-	defer s.active.Add(-1)
-
 	var req SolveRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "serve: bad request body: " + err.Error()})
@@ -344,7 +340,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	defer c.release()
 
-	svc, g, err := c.route(req.Family, req.Eps)
+	svc, err := c.route(req.Family, req.Eps)
 	if err != nil {
 		writeError(w, err, http.StatusNotFound)
 		return
@@ -357,15 +353,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := s.requestContext(r, req.DeadlineMs)
 	defer cancel()
-	release, err := g.admit(ctx)
+	solveTime, err := svc.SolveTimed(ctx, xg, bg, req.Accuracy)
 	if err != nil {
-		writeError(w, err, http.StatusServiceUnavailable)
-		return
-	}
-	defer release()
-
-	t0 := time.Now()
-	if err := svc.SolveContext(ctx, xg, bg, req.Accuracy); err != nil {
 		writeError(w, err, http.StatusBadRequest)
 		return
 	}
@@ -375,18 +364,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		Eps:       epsOf(svc),
 		N:         req.N,
 		Precision: planPrecisionOf(svc, req.N, req.Accuracy),
-		SolveNs:   time.Since(t0).Nanoseconds(),
+		SolveNs:   solveTime.Nanoseconds(),
 	})
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.shedDrainingNow(w)
-		return
-	}
-	s.active.Add(1)
-	defer s.active.Add(-1)
-
 	var req BatchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "serve: bad request body: " + err.Error()})
@@ -403,23 +385,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer c.release()
 
-	svc, g, err := c.route(req.Family, req.Eps)
+	svc, err := c.route(req.Family, req.Eps)
 	if err != nil {
 		writeError(w, err, http.StatusNotFound)
 		return
 	}
-	// The whole batch holds ONE queue ticket; its problems then share the
-	// family's solve slots, so a big batch cannot monopolize the queue.
-	ticketRelease, err := g.admitTicket()
-	if err != nil {
-		writeError(w, err, http.StatusServiceUnavailable)
-		return
-	}
-	defer ticketRelease()
-
-	ctx, cancel := s.requestContext(r, req.DeadlineMs)
-	defer cancel()
-
 	resp := BatchResponse{
 		Results:   make([]BatchResult, len(req.Problems)),
 		Family:    svc.Family().String(),
@@ -427,41 +397,35 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		N:         req.N,
 		Precision: planPrecisionOf(svc, req.N, req.Accuracy),
 	}
-	// Fan out with a worker loop bounded by the family quota (or the
-	// problem count), the Service.SolveBatch idiom at the HTTP layer.
-	workers := g.quota
-	if workers <= 0 || workers > len(req.Problems) {
-		workers = min(len(req.Problems), 2*max(1, s.cfg.Workers))
+	// A malformed problem fails alone; the rest go to the solver as one
+	// batch, which holds ONE place in the family's queue while its problems
+	// share the family's solve slots.
+	problems := make([]pbmg.BatchProblem, 0, len(req.Problems))
+	index := make([]int, 0, len(req.Problems))
+	for i, p := range req.Problems {
+		xg, bg, err := buildGrids(svc, req.N, p.B, p.X)
+		if err != nil {
+			resp.Results[i].Error = err.Error()
+			continue
+		}
+		problems = append(problems, pbmg.BatchProblem{X: xg, B: bg})
+		index = append(index, i)
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(req.Problems) {
-					return
-				}
-				p := req.Problems[i]
-				xg, bg, err := buildGrids(svc, req.N, p.B, p.X)
-				if err == nil {
-					var slotRelease func()
-					if slotRelease, err = g.admitSlot(ctx); err == nil {
-						err = svc.SolveContext(ctx, xg, bg, req.Accuracy)
-						slotRelease()
-					}
-				}
-				if err != nil {
-					resp.Results[i] = BatchResult{Error: err.Error()}
-				} else {
-					resp.Results[i] = BatchResult{X: xg.Data()}
-				}
-			}
-		}()
+
+	ctx, cancel := s.requestContext(r, req.DeadlineMs)
+	defer cancel()
+	errs, err := svc.SolveBatchContext(ctx, problems, req.Accuracy)
+	if err != nil {
+		writeError(w, err, http.StatusServiceUnavailable)
+		return
 	}
-	wg.Wait()
+	for j, err := range errs {
+		if err != nil {
+			resp.Results[index[j]].Error = err.Error()
+		} else {
+			resp.Results[index[j]].X = problems[j].X.Data()
+		}
+	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -473,56 +437,52 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	defer c.release()
 
+	rm := c.reg.Metrics()
 	m := Metrics{
 		Version:           s.version.Load(),
 		ConfigDir:         c.dir,
 		Draining:          s.draining.Load(),
 		GlobalMaxInFlight: c.reg.MaxInFlight(),
-		Unroutable:        c.reg.Metrics().Unroutable,
+		Unroutable:        rm.Unroutable,
 		ShedDraining:      s.shedDraining.Load(),
 		ActiveRequests:    s.active.Load(),
 	}
-	for _, key := range c.order {
-		g := c.gates[key]
-		sm := g.svc.Metrics()
+	// Services and Metrics both list the families in registration order.
+	for i, svc := range c.reg.Services() {
+		fm := rm.Families[i]
 		fs := FamilyStatus{
-			Family:        key.Family.String(),
-			Dim:           key.Dim,
-			MaxSize:       g.svc.Solver().MaxSize(),
-			Quota:         g.quota,
-			QueueDepth:    g.queueDepth,
-			Precisions:    g.svc.Solver().PlanPrecisions(),
-			Admitted:      sm.Admitted,
-			Completed:     sm.Completed,
-			Failed:        sm.Failed,
-			Shed:          sm.Shed,
-			Waiting:       sm.Waiting,
-			InFlight:      sm.InFlight,
-			Cancelled:     sm.Cancelled,
-			Diverged:      sm.Diverged,
-			Panicked:      sm.Panicked,
-			Escalations:   g.svc.Solver().Escalations(),
-			Breaker:       g.svc.BreakerState(),
-			BreakerShed:   sm.BreakerShed,
-			BreakerOpens:  sm.BreakerOpens,
-			QueueLen:      g.queueLen(),
-			ShedQueueFull: g.shedQueueFull.Load(),
-			ShedDeadline:  g.shedDeadline.Load(),
+			Family:        fm.Key.Family.String(),
+			Dim:           fm.Key.Dim,
+			MaxSize:       svc.Solver().MaxSize(),
+			Quota:         svc.Admission().Quota(),
+			QueueDepth:    svc.Admission().QueueDepth(),
+			Precisions:    svc.Solver().PlanPrecisions(),
+			Admitted:      fm.Admitted,
+			Completed:     fm.Completed,
+			Failed:        fm.Failed,
+			Shed:          fm.Shed,
+			Waiting:       fm.Waiting,
+			InFlight:      fm.InFlight,
+			Cancelled:     fm.Cancelled,
+			Diverged:      fm.Diverged,
+			Panicked:      fm.Panicked,
+			Escalations:   svc.Solver().Escalations(),
+			Breaker:       fm.Breaker,
+			BreakerShed:   fm.BreakerShed,
+			BreakerOpens:  fm.BreakerOpens,
+			QueueLen:      int(fm.Waiting),
+			ShedQueueFull: fm.ShedQueueFull,
+			ShedDeadline:  fm.Shed - fm.ShedQueueFull - fm.BreakerShed,
 		}
-		if pbmg.FamilyHasParam(key.Family) {
-			fs.Eps = key.Epsilon
+		if pbmg.FamilyHasParam(fm.Key.Family) {
+			fs.Eps = fm.Key.Epsilon
 		}
 		m.Families = append(m.Families, fs)
-		m.Aggregate.Admitted += sm.Admitted
-		m.Aggregate.Completed += sm.Completed
-		m.Aggregate.Failed += sm.Failed
-		m.Aggregate.Shed += sm.Shed
-		m.Aggregate.Waiting += sm.Waiting
-		m.Aggregate.InFlight += sm.InFlight
-		m.Aggregate.Cancelled += sm.Cancelled
-		m.Aggregate.Diverged += sm.Diverged
-		m.Aggregate.Panicked += sm.Panicked
 	}
+	a := rm.Aggregate
+	m.Aggregate.Admitted, m.Aggregate.Completed, m.Aggregate.Failed = a.Admitted, a.Completed, a.Failed
+	m.Aggregate.Shed, m.Aggregate.Waiting, m.Aggregate.InFlight = a.Shed, a.Waiting, a.InFlight
+	m.Aggregate.Cancelled, m.Aggregate.Diverged, m.Aggregate.Panicked = a.Cancelled, a.Diverged, a.Panicked
 	writeJSON(w, http.StatusOK, m)
 }
 
@@ -556,9 +516,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if c == nil {
 		ready = false
 	} else {
-		for _, key := range c.order {
-			state := c.gates[key].svc.BreakerState()
-			resp.Families = append(resp.Families, familyReadiness{Family: key.String(), Breaker: state})
+		for _, svc := range c.reg.Services() {
+			state := svc.BreakerState()
+			resp.Families = append(resp.Families, familyReadiness{Family: svc.Key().String(), Breaker: state})
 			if state == "open" {
 				// A half-open breaker stays ready: the next request probes.
 				ready = false

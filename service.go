@@ -8,17 +8,20 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"pbmg/internal/admit"
 	"pbmg/internal/sched"
 )
 
 // This file is the serving front end over a tuned Solver: SolveBatch fans a
 // fixed set of independent problems across the shared worker pool, and
-// Service admits a stream of solve requests with a bound on how many run at
-// once. Both lean on the tune-once/serve-many model of the paper (§3.2.1):
-// the expensive tuned configuration and its caches are built once and then
-// amortized over every request. Registry (registry.go) composes several
-// Services — one per tuned operator family — behind one admission limit.
+// Service admits a stream of solve requests through its family's admission
+// gate (internal/admit). Both lean on the tune-once/serve-many model of the
+// paper (§3.2.1): the expensive tuned configuration and its caches are
+// built once and then amortized over every request. Registry (registry.go)
+// composes several Services — one per tuned operator family — whose gates
+// draw on per-family quotas or one shared cap.
 
 // BatchProblem pairs one solve's state grid (Dirichlet boundary and initial
 // guess, solved in place) with its right-hand side.
@@ -40,84 +43,40 @@ func (s *Solver) SolveBatch(problems []BatchProblem, accuracy float64) error {
 	return s.DefaultService().SolveBatch(problems, accuracy)
 }
 
-// Service wraps a Solver with an admission limit for serving: at most
-// MaxInFlight solves run concurrently, and further requests block until a
-// slot frees. A Service is safe for concurrent use and is cheap to create;
-// all services of one Solver share its tuned tables and caches. Services
-// created by a Registry share one admission semaphore, so the limit is
-// global across every family the registry serves.
+// Service wraps a Solver with admission control for serving: every solve
+// passes the family's admission gate (internal/admit), which bounds how
+// many run at once — MaxInFlight for a standalone service; for a
+// registered one, the family's quota or else the registry's shared cap —
+// and sheds instead of waiting when the family's bounded queue is full, its
+// breaker is open, or the request's context ends. A Service is safe for
+// concurrent use and is cheap to create; all services of one Solver share
+// its tuned tables and caches.
 type Service struct {
-	s       *Solver
-	sem     chan struct{}
-	breaker *breaker
-
-	admitted  atomic.Int64
-	completed atomic.Int64
-	failed    atomic.Int64
-	shed      atomic.Int64
-	waiting   atomic.Int64
-	inFlight  atomic.Int64
-
-	// Failure-class counters: every one of these also counts in failed.
-	cancelled atomic.Int64
-	diverged  atomic.Int64
-	panicked  atomic.Int64
+	s    *Solver
+	gate *admit.Gate
 }
 
-// ErrShed marks a request that was turned away at admission — its context
-// was cancelled or its deadline expired before a slot freed — as opposed to
-// a solve that ran and failed. Serving layers match it with errors.Is to
-// answer with a retryable status (429/503) instead of a hard failure.
-var ErrShed = errors.New("pbmg: request shed at admission")
+// ErrShed marks a request that was turned away at admission — its family's
+// queue was full, its breaker open, or its context was cancelled or its
+// deadline expired before a slot freed — as opposed to a solve that ran and
+// failed. Serving layers match it with errors.Is to answer with a retryable
+// status (429/503) instead of a hard failure.
+var ErrShed = admit.ErrShed
+
+// ErrQueueFull marks a request shed because its family's bounded queue was
+// full (HTTP 429). It wraps ErrShed.
+var ErrQueueFull = admit.ErrQueueFull
 
 // ServiceMetrics is a point-in-time snapshot of one service's request
-// counters. Admitted counts solves that passed admission (acquired a slot);
-// of those, Completed finished successfully and Failed returned a solve
-// error (size or accuracy outside the tuned range, or an internal failure).
-// Shed counts requests turned away at admission — their context expired
-// before a slot freed, or the circuit breaker was open — which never run a
-// solve at all; keeping them out of Failed means load-shedding and broken
-// requests stay distinguishable. Waiting is the gauge of requests currently
-// blocked in admission, InFlight the gauge of solves currently running.
-//
-// The failure-class counters split Failed by what went wrong: Cancelled
-// solves were aborted mid-solve by their context, Diverged solves blew up
-// numerically (after any float64 escalation retry), Panicked solves hit a
-// recovered panic. BreakerShed counts the subset of Shed turned away by an
-// open circuit breaker, and BreakerOpens counts closed→open transitions.
-type ServiceMetrics struct {
-	Admitted  int64
-	Completed int64
-	Failed    int64
-	Shed      int64
-	Waiting   int64
-	InFlight  int64
-
-	Cancelled    int64
-	Diverged     int64
-	Panicked     int64
-	BreakerShed  int64
-	BreakerOpens int64
-}
-
-// Add accumulates m into the receiver (for aggregating per-family metrics).
-func (sm *ServiceMetrics) Add(m ServiceMetrics) {
-	sm.Admitted += m.Admitted
-	sm.Completed += m.Completed
-	sm.Failed += m.Failed
-	sm.Shed += m.Shed
-	sm.Waiting += m.Waiting
-	sm.InFlight += m.InFlight
-	sm.Cancelled += m.Cancelled
-	sm.Diverged += m.Diverged
-	sm.Panicked += m.Panicked
-	sm.BreakerShed += m.BreakerShed
-	sm.BreakerOpens += m.BreakerOpens
-}
+// counters, kept by its admission gate: solves admitted, completed and
+// failed (by class), requests shed at admission (never run, so shedding
+// and broken requests stay distinguishable), and the waiting/in-flight
+// gauges.
+type ServiceMetrics = admit.Metrics
 
 // NewService returns a serving front end admitting at most maxInFlight
 // concurrent solves (≤ 0 selects 2×GOMAXPROCS), with a default-configured
-// circuit breaker.
+// circuit breaker and no queue bound.
 func (s *Solver) NewService(maxInFlight int) *Service {
 	if maxInFlight <= 0 {
 		maxInFlight = 2 * runtime.GOMAXPROCS(0)
@@ -125,20 +84,18 @@ func (s *Solver) NewService(maxInFlight int) *Service {
 	return newService(s, make(chan struct{}, maxInFlight), BreakerConfig{})
 }
 
-// newService wraps a solver around an admission semaphore, which may be
-// shared with other services (Registry shares one across all families).
-// The circuit breaker is per-service: one family melting down must not
-// stop the others.
+// newService wraps a solver around a gate without a quota, drawing on the
+// slots in sem (which Registry shares across its families without one).
 func newService(s *Solver, sem chan struct{}, bc BreakerConfig) *Service {
-	return &Service{s: s, sem: sem, breaker: newBreaker(bc)}
+	return &Service{s: s, gate: admit.New(sem, 0, 0, bc)}
 }
 
 // DefaultService returns the solver's lazily-created default service,
 // shared by every SolveBatch call on the solver so batch completions
 // accumulate in one place instead of vanishing with a throwaway service.
 // The admission limit is 2×GOMAXPROCS for a standalone solver; registering
-// the solver in a Registry makes the registry service (and its global
-// limit) the default, so batch solves honor the registry-wide bound.
+// the solver in a Registry makes the registry service the default, so
+// batch solves pass the family's registry admission.
 // Safe to call concurrently with Registry.Register: the default service is
 // metadata, guarded by its own mutex, so Register's no-solves-in-flight
 // contract covers only solves.
@@ -159,9 +116,13 @@ func (s *Solver) setDefaultService(svc *Service) {
 	s.defSvc = svc
 }
 
-// MaxInFlight returns the admission limit (the global limit, for services
-// created by a Registry).
-func (sv *Service) MaxInFlight() int { return cap(sv.sem) }
+// MaxInFlight returns how many of the service's solves can run at once:
+// its family's quota, or else the (registry-wide) shared cap.
+func (sv *Service) MaxInFlight() int { return sv.gate.Cap() }
+
+// Admission returns the family's admission gate: its quota, queue bound,
+// breaker and counters.
+func (sv *Service) Admission() *admit.Gate { return sv.gate }
 
 // Solver returns the tuned solver behind the service.
 func (sv *Service) Solver() *Solver { return sv.s }
@@ -174,31 +135,17 @@ func (sv *Service) Family() Family { return sv.s.Family() }
 func (sv *Service) Epsilon() float64 { return sv.s.Epsilon() }
 
 // Completed returns the number of solves finished successfully so far.
-func (sv *Service) Completed() int64 { return sv.completed.Load() }
+func (sv *Service) Completed() int64 { return sv.gate.Metrics().Completed }
 
 // Metrics returns a snapshot of the service's request counters. The fields
 // are read individually from concurrently-updated counters, so a snapshot
 // taken while solves are in flight is approximate (but each counter is
 // exact).
-func (sv *Service) Metrics() ServiceMetrics {
-	return ServiceMetrics{
-		Admitted:     sv.admitted.Load(),
-		Completed:    sv.completed.Load(),
-		Failed:       sv.failed.Load(),
-		Shed:         sv.shed.Load(),
-		Waiting:      sv.waiting.Load(),
-		InFlight:     sv.inFlight.Load(),
-		Cancelled:    sv.cancelled.Load(),
-		Diverged:     sv.diverged.Load(),
-		Panicked:     sv.panicked.Load(),
-		BreakerShed:  sv.breaker.shed.Load(),
-		BreakerOpens: sv.breaker.opens.Load(),
-	}
-}
+func (sv *Service) Metrics() ServiceMetrics { return sv.gate.Metrics() }
 
 // BreakerState reports the service's circuit-breaker state: "closed",
 // "open", or "half-open".
-func (sv *Service) BreakerState() string { return sv.breaker.stateName() }
+func (sv *Service) BreakerState() string { return sv.gate.BreakerState() }
 
 // Solve admits one tuned FULL-MULTIGRID solve, blocking while MaxInFlight
 // solves are already running. See Solver.Solve.
@@ -207,14 +154,28 @@ func (sv *Service) Solve(x, b *Grid, accuracy float64) error {
 }
 
 // SolveContext admits one tuned FULL-MULTIGRID solve bounded by ctx at
-// every stage: if the context is cancelled or its deadline expires before a
-// slot frees, the request is shed (an ErrShed error, counted in Shed)
-// instead of waiting indefinitely behind MaxInFlight running solves; once
-// admitted, the solve itself polls ctx between cycles and levels and aborts
-// with an error wrapping ErrCancelled (counted in Cancelled) within roughly
-// one cycle's latency.
+// every stage: if the family's queue is full, or the context is cancelled
+// or its deadline expires before a slot frees, the request is shed (an
+// ErrShed error, counted in Shed) instead of waiting indefinitely behind
+// MaxInFlight running solves; once admitted, the solve itself polls ctx
+// between cycles and levels and aborts with an error wrapping ErrCancelled
+// (counted in Cancelled) within roughly one cycle's latency.
 func (sv *Service) SolveContext(ctx context.Context, x, b *Grid, accuracy float64) error {
-	return sv.admit(ctx, func() error { return sv.s.solveCtx(ctx, x, b, accuracy, true, nil) })
+	_, err := sv.SolveTimed(ctx, x, b, accuracy)
+	return err
+}
+
+// SolveTimed is SolveContext that also reports how long the solve ran once
+// admitted: the wait for admission is excluded.
+func (sv *Service) SolveTimed(ctx context.Context, x, b *Grid, accuracy float64) (time.Duration, error) {
+	var elapsed time.Duration
+	err := sv.admit(ctx, func() error {
+		t0 := time.Now()
+		err := sv.s.SolveContext(ctx, x, b, accuracy)
+		elapsed = time.Since(t0)
+		return err
+	})
+	return elapsed, err
 }
 
 // SolveV admits one tuned MULTIGRID-V solve. See Solver.SolveV.
@@ -222,69 +183,25 @@ func (sv *Service) SolveV(x, b *Grid, accuracy float64) error {
 	return sv.admit(context.Background(), func() error { return sv.s.SolveV(x, b, accuracy) })
 }
 
-// SolveAdaptive admits one adaptive solve. See Solver.SolveAdaptive.
-func (sv *Service) SolveAdaptive(x, b *Grid, residualReduction float64) (int, float64, error) {
-	var iters int
-	var reduction float64
-	err := sv.admit(context.Background(), func() error {
-		var err error
-		iters, reduction, err = sv.s.SolveAdaptive(x, b, residualReduction)
+// admit passes one request through the family's gate — a queue place for
+// the request, then a slot for its solve — and runs it.
+func (sv *Service) admit(ctx context.Context, solve func() error) error {
+	if err := sv.gate.Join(); err != nil {
 		return err
-	})
-	return iters, reduction, err
+	}
+	defer sv.gate.Leave()
+	return sv.run(ctx, solve)
 }
 
-func (sv *Service) admit(ctx context.Context, solve func() error) error {
-	// An already-expired context sheds without racing the semaphore: a
-	// deadline that passed while the request was queued upstream must not
-	// win a slot just because one happens to be free.
-	if err := ctx.Err(); err != nil {
-		sv.shed.Add(1)
-		return fmt.Errorf("%w: %v", ErrShed, err)
+// run acquires a slot for one solve of a request that holds a queue place,
+// runs it, and reports how it ended.
+func (sv *Service) run(ctx context.Context, solve func() error) error {
+	pass, err := sv.gate.Acquire(ctx)
+	if err != nil {
+		return err
 	}
-	// The breaker gate sits before the semaphore so an open breaker sheds
-	// instantly instead of queueing doomed requests behind healthy families'
-	// traffic. Breaker sheds wrap ErrShed (generic retryable handling) and
-	// ErrBreakerOpen (the Retry-After detail).
-	probe, berr := sv.breaker.allow()
-	if berr != nil {
-		sv.shed.Add(1)
-		return fmt.Errorf("%w: %w", ErrShed, berr)
-	}
-	sv.waiting.Add(1)
-	select {
-	case sv.sem <- struct{}{}:
-		sv.waiting.Add(-1)
-	case <-ctx.Done():
-		sv.waiting.Add(-1)
-		sv.shed.Add(1)
-		// Never ran: no evidence for the breaker either way (and a probe
-		// slot is released for the next request).
-		sv.breaker.record(probe, breakerNeutral)
-		return fmt.Errorf("%w: %v", ErrShed, ctx.Err())
-	}
-	sv.admitted.Add(1)
-	sv.inFlight.Add(1)
-	defer func() {
-		sv.inFlight.Add(-1)
-		<-sv.sem
-	}()
-	err := sv.protect(solve)
-	sv.breaker.record(probe, breakerOutcomeOf(err))
-	switch {
-	case err == nil:
-		sv.completed.Add(1)
-	default:
-		sv.failed.Add(1)
-		switch {
-		case errors.Is(err, ErrCancelled):
-			sv.cancelled.Add(1)
-		case errors.Is(err, ErrDiverged):
-			sv.diverged.Add(1)
-		case errors.Is(err, ErrPanicked):
-			sv.panicked.Add(1)
-		}
-	}
+	err = sv.protect(solve)
+	pass.Release(outcomeOf(err))
 	return err
 }
 
@@ -311,40 +228,42 @@ func (sv *Service) protect(solve func() error) (err error) {
 	return solve()
 }
 
-// breakerOutcomeOf classifies a solve error for the circuit breaker: only
-// infrastructure failures (divergence, panics) count toward opening it;
-// cancellations are neutral, and client errors (bad size, unreachable
-// accuracy) plus successes count as OK.
-func breakerOutcomeOf(err error) breakerOutcome {
-	switch {
-	case err == nil:
-		return breakerOK
-	case errors.Is(err, ErrDiverged), errors.Is(err, ErrPanicked):
-		return breakerInfraFailure
-	case errors.Is(err, ErrCancelled):
-		return breakerNeutral
-	default:
-		return breakerOK
+// SolveBatch solves every problem concurrently through this service's
+// admission gate. See SolveBatchContext and Solver.SolveBatch.
+func (sv *Service) SolveBatch(problems []BatchProblem, accuracy float64) error {
+	errs, err := sv.SolveBatchContext(context.Background(), problems, accuracy)
+	if err != nil {
+		return err
 	}
+	for i, err := range errs {
+		if err != nil {
+			errs[i] = fmt.Errorf("pbmg: batch problem %d: %w", i, err)
+		}
+	}
+	return errors.Join(errs...)
 }
 
-// SolveBatch solves every problem concurrently through this service's
-// admission limit. The fan-out is a worker loop sized by the admission
-// limit, not a goroutine per problem: a million-problem batch runs on
-// min(MaxInFlight, len(problems)) goroutines pulling the next index, rather
-// than parking a million goroutines on the semaphore. See Solver.SolveBatch.
-func (sv *Service) SolveBatch(problems []BatchProblem, accuracy float64) error {
+// SolveBatchContext solves every problem concurrently, bounded by ctx. The
+// batch holds one place in the family's queue — a full queue sheds it
+// whole with ErrQueueFull, before any problem runs — and each problem then
+// waits for its own solve slot. The fan-out is a worker loop sized by
+// MaxInFlight, not a goroutine per problem: a million-problem batch runs
+// on min(MaxInFlight, len(problems)) goroutines pulling the next index,
+// rather than parking a million goroutines in admission. errs[i] is
+// problem i's error, nil when it met its target.
+func (sv *Service) SolveBatchContext(ctx context.Context, problems []BatchProblem, accuracy float64) (errs []error, err error) {
 	if len(problems) == 0 {
-		return nil
+		return nil, nil
 	}
-	errs := make([]error, len(problems))
-	workers := sv.MaxInFlight()
-	if workers > len(problems) {
-		workers = len(problems)
+	if err := sv.gate.Join(); err != nil {
+		return nil, err
 	}
+	defer sv.gate.Leave()
+	errs = make([]error, len(problems))
+	workers := min(sv.MaxInFlight(), len(problems))
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -354,12 +273,10 @@ func (sv *Service) SolveBatch(problems []BatchProblem, accuracy float64) error {
 					return
 				}
 				p := problems[i]
-				if err := sv.Solve(p.X, p.B, accuracy); err != nil {
-					errs[i] = fmt.Errorf("pbmg: batch problem %d: %w", i, err)
-				}
+				errs[i] = sv.run(ctx, func() error { return sv.s.SolveContext(ctx, p.X, p.B, accuracy) })
 			}
 		}()
 	}
 	wg.Wait()
-	return errors.Join(errs...)
+	return errs, nil
 }

@@ -44,7 +44,7 @@ func TestServiceMetricsShedSplit(t *testing.T) {
 
 	// 4. A request queued behind a full admission limit past its deadline:
 	// Shed.
-	sv.sem <- struct{}{} // occupy the only slot
+	release := sv.gate.Hold() // occupy the only slot
 	ctx, cancel2 := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel2()
 	if err := sv.SolveContext(ctx, p.NewState(), p.B, 1e3); !errors.Is(err, ErrShed) {
@@ -64,7 +64,7 @@ func TestServiceMetricsShedSplit(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	<-sv.sem // free the slot
+	release() // free the slot
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
